@@ -2,12 +2,13 @@
 //!
 //! Clients contact the segment store hosting a segment's container directly
 //! (§3.2); the controller resolves segments to endpoints. The factory
-//! abstraction lets the embedded cluster hand out in-process connections.
+//! abstraction lets the embedded cluster hand out in-process or TCP
+//! connections.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pravega_common::wire::{Connection, Reply, Request, RequestEnvelope};
+use pravega_common::wire::{Connection, Reply, Request};
 
 use crate::error::ClientError;
 
@@ -46,39 +47,8 @@ impl RpcClient {
     pub fn call(&self, request: Request) -> Result<Reply, ClientError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.connection
-            .send(RequestEnvelope {
-                request_id: id,
-                request,
-            })
-            .map_err(|e| ClientError::Disconnected(e.to_string()))?;
-        loop {
-            let envelope = self
-                .connection
-                .recv()
-                .map_err(|e| ClientError::Disconnected(e.to_string()))?;
-            if envelope.request_id == id {
-                return Ok(envelope.reply);
-            }
-        }
-    }
-}
-
-/// A factory that always yields connections to a single in-process store
-/// (ignoring endpoints) — useful in tests.
-pub struct SingleEndpointFactory<F: Fn() -> Connection + Send + Sync> {
-    connect_fn: F,
-}
-
-impl<F: Fn() -> Connection + Send + Sync> SingleEndpointFactory<F> {
-    /// Wraps a connect closure.
-    pub fn new(connect_fn: F) -> Self {
-        Self { connect_fn }
-    }
-}
-
-impl<F: Fn() -> Connection + Send + Sync> ConnectionFactory for SingleEndpointFactory<F> {
-    fn connect(&self, _endpoint: &str) -> Result<Connection, ClientError> {
-        Ok((self.connect_fn)())
+            .call(id, request)
+            .map_err(|e| ClientError::Disconnected(e.to_string()))
     }
 }
 

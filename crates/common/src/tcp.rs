@@ -1,8 +1,10 @@
-//! Framed TCP implementations of the [`crate::wire`] transport traits.
+//! Framed TCP connections: a [`connection_pair`] whose far end is bridged
+//! to a socket.
 //!
 //! Both ends share one shape: the socket is owned by two dedicated threads
-//! (one reading, one writing) bridged to the rest of the process by
-//! channels, so no lock is ever held across socket I/O.
+//! (one reading, one writing) that stand in for the peer on the far end of
+//! the pair, so no lock is ever held across socket I/O and the caller gets
+//! the same [`Connection`] / [`ServerEnd`] an in-process link has.
 //!
 //! ```text
 //!  client                                        server
@@ -17,8 +19,11 @@
 //! Backpressure is structural, not advisory:
 //!
 //! * A **client** whose peer stops draining fills its bounded send queue, at
-//!   which point [`Transport::send`] blocks (and the socket's own buffers
+//!   which point [`Connection::send`] blocks (and the socket's own buffers
 //!   push back on the writer thread).
+//! * A **client** that stops consuming replies fills its bounded reply
+//!   queue; the reader thread blocks, stops reading the socket, and closes
+//!   the kernel receive window back to the server.
 //! * A **server** whose handler falls behind stops pulling from its bounded
 //!   inbound queue; the reader thread blocks feeding it and stops reading
 //!   the socket, so the kernel's receive window closes and the client's
@@ -26,21 +31,16 @@
 //!
 //! Any socket error, EOF, or [`crate::protocol::CodecError`] tears the
 //! connection down: both threads exit, the socket is shut down, and every
-//! queued operation surfaces [`ConnectionClosed`].
+//! queued operation surfaces [`crate::wire::ConnectionClosed`].
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::BytesMut;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{Receiver, Sender};
 
-use crate::protocol::FrameDecoder;
-use crate::wire::{
-    Connection, ConnectionClosed, ReplyEnvelope, RequestEnvelope, ServerEnd, ServerTransport,
-    Transport,
-};
+use crate::protocol::{encode_reply, encode_request, CodecError, FrameDecoder};
+use crate::wire::{connection_pair, Connection, ServerEnd};
 
 // Historically defined here; now shared with the in-process transport so
 // both exhibit the same backpressure envelope.
@@ -82,12 +82,14 @@ fn write_pump<T>(stream: TcpStream, rx: Receiver<T>, encode: impl Fn(&T, &mut By
 }
 
 /// Reads the socket, feeds the frame decoder, and forwards each decoded
-/// message via `deliver`. Exits (shutting the socket down) on EOF, read
-/// error, codec error, or when `deliver` reports the process side hung up.
+/// message into `tx`. A full `tx` blocks here, which stops the socket reads:
+/// the kernel receive window closes and the peer stalls. Exits (shutting the
+/// socket down) on EOF, read error, codec error, or when the receiving end
+/// of `tx` hung up.
 fn read_pump<T>(
     stream: TcpStream,
-    mut next: impl FnMut(&mut FrameDecoder) -> Result<Option<T>, crate::protocol::CodecError>,
-    deliver: impl Fn(T) -> Result<(), ConnectionClosed>,
+    mut next: impl FnMut(&mut FrameDecoder) -> Result<Option<T>, CodecError>,
+    tx: Sender<T>,
 ) {
     let mut stream = stream;
     let mut decoder = FrameDecoder::new();
@@ -102,7 +104,7 @@ fn read_pump<T>(
         loop {
             match next(&mut decoder) {
                 Ok(Some(msg)) => {
-                    if deliver(msg).is_err() {
+                    if tx.send(msg).is_err() {
                         break 'io;
                     }
                 }
@@ -113,38 +115,6 @@ fn read_pump<T>(
         }
     }
     let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// Client-side framed TCP transport.
-struct TcpClientTransport {
-    tx: Sender<RequestEnvelope>,
-    rx: Receiver<ReplyEnvelope>,
-}
-
-impl Transport for TcpClientTransport {
-    fn send(&self, envelope: RequestEnvelope) -> Result<(), ConnectionClosed> {
-        self.tx.send(envelope).map_err(|_| ConnectionClosed)
-    }
-
-    fn recv(&self) -> Result<ReplyEnvelope, ConnectionClosed> {
-        self.rx.recv().map_err(|_| ConnectionClosed)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<ReplyEnvelope>, ConnectionClosed> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(env) => Ok(Some(env)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(ConnectionClosed),
-        }
-    }
-
-    fn try_recv(&self) -> Result<Option<ReplyEnvelope>, ConnectionClosed> {
-        match self.rx.try_recv() {
-            Ok(env) => Ok(Some(env)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(ConnectionClosed),
-        }
-    }
 }
 
 /// Opens a framed TCP connection to a segment store frontend.
@@ -160,97 +130,53 @@ pub fn connect(addr: SocketAddr) -> std::io::Result<Connection> {
     connect_stream(stream)
 }
 
-/// Wraps an already-connected socket in the client transport (used by tests
-/// that need to hold the raw fd, e.g. to sever it mid-flight).
+/// Wraps an already-connected socket in a client [`Connection`] (used by
+/// tests that need to hold the raw fd, e.g. to sever it mid-flight). The
+/// pumps play the server end of the pair: the writer sends its requests,
+/// the reader delivers the socket's replies.
 ///
 /// # Errors
 ///
 /// Any I/O error from configuring the socket or spawning pump threads.
 pub fn connect_stream(stream: TcpStream) -> std::io::Result<Connection> {
     stream.set_nodelay(true)?;
-    let (req_tx, req_rx) = bounded::<RequestEnvelope>(SEND_QUEUE_DEPTH);
-    // Bounded like the request direction: a client that stops consuming
-    // replies stalls the reader pump, which stops reading the socket and
-    // closes the kernel receive window back to the server (§4).
-    let (rep_tx, rep_rx) = bounded::<ReplyEnvelope>(SEND_QUEUE_DEPTH);
-
+    let (conn, far) = connection_pair();
     let writer_stream = stream.try_clone()?;
     spawn_named("tcp-cli-writer", move || {
-        write_pump(writer_stream, req_rx, |env, out| {
-            crate::protocol::encode_request(env, out);
-        });
+        write_pump(writer_stream, far.requests, encode_request);
     })?;
     spawn_named("tcp-cli-reader", move || {
-        read_pump(
-            stream,
-            |dec| dec.next_reply(),
-            |env| rep_tx.send(env).map_err(|_| ConnectionClosed),
-        );
+        read_pump(stream, FrameDecoder::next_reply, far.replies);
     })?;
-
-    Ok(Connection::from_transport(Arc::new(TcpClientTransport {
-        tx: req_tx,
-        rx: rep_rx,
-    })))
+    Ok(conn)
 }
 
-/// Server-side framed TCP transport for one accepted connection.
-struct TcpServerTransport {
-    rx: Receiver<RequestEnvelope>,
-    tx: Sender<ReplyEnvelope>,
-}
-
-impl ServerTransport for TcpServerTransport {
-    fn recv(&self) -> Result<RequestEnvelope, ConnectionClosed> {
-        self.rx.recv().map_err(|_| ConnectionClosed)
-    }
-
-    fn send(&self, envelope: ReplyEnvelope) -> Result<(), ConnectionClosed> {
-        self.tx.send(envelope).map_err(|_| ConnectionClosed)
-    }
-}
-
-/// Wraps an accepted socket in the server transport: requests flow out of
-/// [`ServerEnd::recv`], replies flow into [`ServerEnd::send`].
-///
-/// Both directions ride bounded queues sized [`SEND_QUEUE_DEPTH`]; see the
-/// module docs for how that turns into per-connection backpressure.
+/// Wraps an accepted socket in a [`ServerEnd`]: requests flow out of
+/// [`ServerEnd::recv`], replies flow into [`ServerEnd::send`]. The pumps play
+/// the client end of the pair: the reader sends the socket's requests, the
+/// writer drains the replies.
 ///
 /// # Errors
 ///
 /// Any I/O error from configuring the socket or spawning pump threads.
 pub fn serve_stream(stream: TcpStream) -> std::io::Result<ServerEnd> {
     stream.set_nodelay(true)?;
-    let (req_tx, req_rx) = bounded::<RequestEnvelope>(SEND_QUEUE_DEPTH);
-    let (rep_tx, rep_rx) = bounded::<ReplyEnvelope>(SEND_QUEUE_DEPTH);
-
+    let (far, server) = connection_pair();
     let writer_stream = stream.try_clone()?;
     spawn_named("tcp-srv-writer", move || {
-        write_pump(writer_stream, rep_rx, |env, out| {
-            crate::protocol::encode_reply(env, out);
-        });
+        write_pump(writer_stream, far.replies, encode_reply);
     })?;
     spawn_named("tcp-srv-reader", move || {
-        read_pump(
-            stream,
-            |dec| dec.next_request(),
-            // A full queue blocks here, which stops the socket reads: the
-            // kernel receive window closes and the client stalls.
-            |env| req_tx.send(env).map_err(|_| ConnectionClosed),
-        );
+        read_pump(stream, FrameDecoder::next_request, far.requests);
     })?;
-
-    Ok(ServerEnd::from_transport(Arc::new(TcpServerTransport {
-        rx: req_rx,
-        tx: rep_tx,
-    })))
+    Ok(server)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::id::{ScopedStream, SegmentId};
-    use crate::wire::{Reply, Request};
+    use crate::wire::{ConnectionClosed, Reply, ReplyEnvelope, Request, RequestEnvelope};
     use std::net::TcpListener;
 
     fn seg() -> crate::id::ScopedSegment {

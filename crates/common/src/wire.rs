@@ -5,14 +5,13 @@
 //! blocks while earlier ones are still being made durable — the "batch data
 //! collected on the server side" design of §4.1).
 //!
-//! A connection is an abstract [`Transport`]: the same [`Connection`] /
-//! [`ServerEnd`] handles work over an in-process channel pair (the default,
-//! used by every embedded test — see [`connection_pair`]) or over a framed
-//! TCP socket (see [`crate::protocol`] for the frame layout and
+//! A connection is one pair of bounded queues, [`Connection`] at the client
+//! and [`ServerEnd`] at the store (see [`connection_pair`]). In-process, the
+//! two ends talk directly (the default, used by every embedded test); over
+//! TCP, socket pumps bridge the far end of the pair to a framed socket (see
+//! [`crate::tcp`], [`crate::protocol`] for the frame layout and
 //! `pravega_segmentstore`'s frontend for the server side). Client code never
 //! sees which one it got.
-
-use std::sync::Arc;
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -21,10 +20,9 @@ use crate::id::{ScopedSegment, WriterId};
 
 /// In-flight messages a connection end will queue before `send` blocks.
 /// Small enough that a stalled peer exerts backpressure quickly, large
-/// enough to keep a pipelining writer's window full. Both the in-process
-/// channel pair and the TCP pumps size their queues from this constant, so
-/// the embedded transport exhibits the same §4 structural backpressure as
-/// the socket path.
+/// enough to keep a pipelining writer's window full. Every connection,
+/// in-process or TCP, is a [`connection_pair`] sized from this constant, so
+/// both exhibit the same §4 structural backpressure.
 pub const SEND_QUEUE_DEPTH: usize = 1024;
 
 /// A single key/value update against a table segment.
@@ -309,89 +307,28 @@ impl std::fmt::Display for ConnectionClosed {
 
 impl std::error::Error for ConnectionClosed {}
 
-/// Client side of a duplex message link to a segment store.
+/// Client end of a connection to a segment store: requests go out over a
+/// bounded queue, replies come back over another.
 ///
-/// Implementations: the in-process channel pair ([`connection_pair`]) and
-/// the framed TCP transport (`pravega_common::tcp`). All methods may be
-/// called concurrently from multiple threads.
-pub trait Transport: Send + Sync {
-    /// Sends a request without waiting for the reply (pipelining).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConnectionClosed`] if the peer has gone away.
-    fn send(&self, envelope: RequestEnvelope) -> Result<(), ConnectionClosed>;
-
-    /// Blocks until the next reply arrives.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConnectionClosed`] if the peer has gone away.
-    fn recv(&self) -> Result<ReplyEnvelope, ConnectionClosed>;
-
-    /// Waits up to `timeout` for the next reply; `Ok(None)` on timeout.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConnectionClosed`] if the peer has gone away.
-    fn recv_timeout(
-        &self,
-        timeout: std::time::Duration,
-    ) -> Result<Option<ReplyEnvelope>, ConnectionClosed>;
-
-    /// Non-blocking receive; `Ok(None)` when no reply is pending.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConnectionClosed`] if the peer has gone away.
-    fn try_recv(&self) -> Result<Option<ReplyEnvelope>, ConnectionClosed>;
-}
-
-/// Server side of a duplex message link: receives requests, sends replies.
-pub trait ServerTransport: Send + Sync {
-    /// Blocks for the next request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConnectionClosed`] if the client has gone away.
-    fn recv(&self) -> Result<RequestEnvelope, ConnectionClosed>;
-
-    /// Sends a reply back to the client.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConnectionClosed`] if the client has gone away.
-    fn send(&self, envelope: ReplyEnvelope) -> Result<(), ConnectionClosed>;
-}
-
-/// Client end of a connection to a segment store.
-///
-/// A thin handle over an [`Transport`] implementation; cloning shares the
-/// underlying link (like a duplicated socket fd).
-#[derive(Clone)]
+/// The in-process pair ([`connection_pair`]) hands the far end straight to
+/// the store; a TCP connection (`pravega_common::tcp`) hands it to two socket
+/// pumps instead. Either way the client holds the same handle and cannot
+/// tell which one it got. Cloning shares the link (like a duplicated socket
+/// fd), and every method may be called from several threads at once.
+#[derive(Debug, Clone)]
 pub struct Connection {
-    inner: Arc<dyn Transport>,
-}
-
-impl std::fmt::Debug for Connection {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Connection").finish_non_exhaustive()
-    }
+    pub(crate) requests: Sender<RequestEnvelope>,
+    pub(crate) replies: Receiver<ReplyEnvelope>,
 }
 
 impl Connection {
-    /// Wraps an arbitrary transport implementation.
-    pub fn from_transport(inner: Arc<dyn Transport>) -> Self {
-        Connection { inner }
-    }
-
     /// Sends a request without waiting for the reply (pipelining).
     ///
     /// # Errors
     ///
     /// Returns [`ConnectionClosed`] if the server end was dropped.
     pub fn send(&self, envelope: RequestEnvelope) -> Result<(), ConnectionClosed> {
-        self.inner.send(envelope)
+        self.requests.send(envelope).map_err(|_| ConnectionClosed)
     }
 
     /// Blocks until the next reply arrives.
@@ -400,7 +337,7 @@ impl Connection {
     ///
     /// Returns [`ConnectionClosed`] if the server end was dropped.
     pub fn recv(&self) -> Result<ReplyEnvelope, ConnectionClosed> {
-        self.inner.recv()
+        self.replies.recv().map_err(|_| ConnectionClosed)
     }
 
     /// Waits up to `timeout` for the next reply; `Ok(None)` on timeout.
@@ -412,7 +349,11 @@ impl Connection {
         &self,
         timeout: std::time::Duration,
     ) -> Result<Option<ReplyEnvelope>, ConnectionClosed> {
-        self.inner.recv_timeout(timeout)
+        match self.replies.recv_timeout(timeout) {
+            Ok(env) => Ok(Some(env)),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(ConnectionClosed),
+        }
     }
 
     /// Non-blocking receive; `Ok(None)` when no reply is pending.
@@ -421,7 +362,11 @@ impl Connection {
     ///
     /// Returns [`ConnectionClosed`] if the server end was dropped.
     pub fn try_recv(&self) -> Result<Option<ReplyEnvelope>, ConnectionClosed> {
-        self.inner.try_recv()
+        match self.replies.try_recv() {
+            Ok(env) => Ok(Some(env)),
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(ConnectionClosed),
+        }
     }
 
     /// Convenience: send one request and block for its (matching) reply.
@@ -444,34 +389,22 @@ impl Connection {
     }
 }
 
-/// Server end of a connection: receives requests, sends replies.
-///
-/// A thin handle over a [`ServerTransport`] implementation; cloning shares
-/// the underlying link.
-#[derive(Clone)]
+/// Server end of a connection: receives requests, sends replies. The mirror
+/// image of [`Connection`]; cloning shares the link.
+#[derive(Debug, Clone)]
 pub struct ServerEnd {
-    inner: Arc<dyn ServerTransport>,
-}
-
-impl std::fmt::Debug for ServerEnd {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerEnd").finish_non_exhaustive()
-    }
+    pub(crate) requests: Receiver<RequestEnvelope>,
+    pub(crate) replies: Sender<ReplyEnvelope>,
 }
 
 impl ServerEnd {
-    /// Wraps an arbitrary server-side transport implementation.
-    pub fn from_transport(inner: Arc<dyn ServerTransport>) -> Self {
-        ServerEnd { inner }
-    }
-
     /// Blocks for the next request; `Err` when the client hung up.
     ///
     /// # Errors
     ///
     /// Returns [`ConnectionClosed`] if the client end was dropped.
     pub fn recv(&self) -> Result<RequestEnvelope, ConnectionClosed> {
-        self.inner.recv()
+        self.requests.recv().map_err(|_| ConnectionClosed)
     }
 
     /// Sends a reply back to the client.
@@ -480,82 +413,26 @@ impl ServerEnd {
     ///
     /// Returns [`ConnectionClosed`] if the client end was dropped.
     pub fn send(&self, envelope: ReplyEnvelope) -> Result<(), ConnectionClosed> {
-        self.inner.send(envelope)
+        self.replies.send(envelope).map_err(|_| ConnectionClosed)
     }
 }
 
-/// In-process client transport: a pair of crossbeam channels standing in for
-/// a socket.
-struct ChannelTransport {
-    tx: Sender<RequestEnvelope>,
-    rx: Receiver<ReplyEnvelope>,
-}
-
-impl Transport for ChannelTransport {
-    fn send(&self, envelope: RequestEnvelope) -> Result<(), ConnectionClosed> {
-        self.tx.send(envelope).map_err(|_| ConnectionClosed)
-    }
-
-    fn recv(&self) -> Result<ReplyEnvelope, ConnectionClosed> {
-        self.rx.recv().map_err(|_| ConnectionClosed)
-    }
-
-    fn recv_timeout(
-        &self,
-        timeout: std::time::Duration,
-    ) -> Result<Option<ReplyEnvelope>, ConnectionClosed> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(env) => Ok(Some(env)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(ConnectionClosed),
-        }
-    }
-
-    fn try_recv(&self) -> Result<Option<ReplyEnvelope>, ConnectionClosed> {
-        match self.rx.try_recv() {
-            Ok(env) => Ok(Some(env)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(ConnectionClosed),
-        }
-    }
-}
-
-/// In-process server transport: the other two channel halves.
-struct ChannelServerTransport {
-    rx: Receiver<RequestEnvelope>,
-    tx: Sender<ReplyEnvelope>,
-}
-
-impl ServerTransport for ChannelServerTransport {
-    fn recv(&self) -> Result<RequestEnvelope, ConnectionClosed> {
-        self.rx.recv().map_err(|_| ConnectionClosed)
-    }
-
-    fn send(&self, envelope: ReplyEnvelope) -> Result<(), ConnectionClosed> {
-        self.tx.send(envelope).map_err(|_| ConnectionClosed)
-    }
-}
-
-/// Creates a connected in-process (client, server) pair, like
-/// `socketpair(2)`. This is the embedded transport every in-process cluster
-/// uses. Both directions are bounded at [`SEND_QUEUE_DEPTH`] so a stalled
-/// server (or client) pushes back on the sender instead of growing an
-/// unbounded queue — the same backpressure contract as the TCP transport.
+/// Creates a connected (client, server) pair, like `socketpair(2)`. This is
+/// the embedded transport every in-process cluster uses, and the TCP
+/// transport is this pair with its far end bridged to a socket. Both
+/// directions are bounded at [`SEND_QUEUE_DEPTH`] so a stalled server (or
+/// client) pushes back on the sender instead of growing an unbounded queue.
 pub fn connection_pair() -> (Connection, ServerEnd) {
     let (req_tx, req_rx) = bounded(SEND_QUEUE_DEPTH);
     let (rep_tx, rep_rx) = bounded(SEND_QUEUE_DEPTH);
     (
         Connection {
-            inner: Arc::new(ChannelTransport {
-                tx: req_tx,
-                rx: rep_rx,
-            }),
+            requests: req_tx,
+            replies: rep_rx,
         },
         ServerEnd {
-            inner: Arc::new(ChannelServerTransport {
-                rx: req_rx,
-                tx: rep_tx,
-            }),
+            requests: req_rx,
+            replies: rep_tx,
         },
     )
 }

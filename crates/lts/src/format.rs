@@ -52,13 +52,15 @@ pub struct CorruptBlock {
     pub offset: u64,
 }
 
-/// Encodes one data block around `payload`.
-pub fn encode_block(payload: &[u8]) -> Bytes {
+/// Encodes one data block around `payload`, returning the frame and the
+/// payload's crc32c (the CRC the block index records for it).
+pub fn encode_block(payload: &[u8]) -> (Bytes, u32) {
+    let crc = crc32c(payload);
     let mut buf = BytesMut::with_capacity(payload.len() + BLOCK_OVERHEAD as usize);
     buf.put_u32(payload.len() as u32);
     buf.put_slice(payload);
-    buf.put_u32(crc32c(payload));
-    buf.freeze()
+    buf.put_u32(crc);
+    (buf.freeze(), crc)
 }
 
 /// The whole-chunk digest: crc32c over the serialized block index. crc32c
@@ -203,7 +205,7 @@ mod tests {
 
     #[test]
     fn block_roundtrip() {
-        let frame = encode_block(b"hello world");
+        let frame = encode_block(b"hello world").0;
         assert_eq!(frame.len() as u64, 11 + BLOCK_OVERHEAD);
         let payload = decode_block(&frame, 0, info(b"hello world")).unwrap();
         assert_eq!(payload, b"hello world");
@@ -211,7 +213,7 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_in_a_block_is_detected() {
-        let frame = encode_block(b"payload under test");
+        let frame = encode_block(b"payload under test").0;
         let expected = info(b"payload under test");
         for byte in 0..frame.len() {
             for bit in 0..8 {
@@ -227,7 +229,7 @@ mod tests {
 
     #[test]
     fn truncated_block_is_detected_not_panicking() {
-        let frame = encode_block(b"some payload");
+        let frame = encode_block(b"some payload").0;
         let expected = info(b"some payload");
         for cut in 0..frame.len() {
             assert!(
@@ -241,7 +243,7 @@ mod tests {
     fn self_consistent_but_wrong_block_is_caught_by_metadata_crc() {
         // An attacker (or a buggy backend) rewrites the whole block with a
         // valid internal CRC; the metadata cross-check still catches it.
-        let frame = encode_block(b"replaced bytes!");
+        let frame = encode_block(b"replaced bytes!").0;
         assert!(decode_block(&frame, 0, info(b"original bytes!")).is_err());
     }
 
@@ -271,7 +273,7 @@ mod tests {
         let payloads: [&[u8]; 3] = [b"first", b"second block", b"x"];
         let mut blocks = Vec::new();
         for p in payloads {
-            chunk.extend_from_slice(&encode_block(p));
+            chunk.extend_from_slice(&encode_block(p).0);
             blocks.push(info(p));
         }
         chunk.extend_from_slice(&encode_footer(&blocks));
@@ -286,9 +288,9 @@ mod tests {
 
     #[test]
     fn corrupt_error_reports_the_block_offset() {
-        let mut chunk = encode_block(b"aaaa").to_vec();
+        let mut chunk = encode_block(b"aaaa").0.to_vec();
         let second_at = chunk.len() as u64;
-        chunk.extend_from_slice(&encode_block(b"bbbb"));
+        chunk.extend_from_slice(&encode_block(b"bbbb").0);
         chunk[second_at as usize + 5] ^= 0x01;
         let err = decode_block(&chunk, second_at, info(b"bbbb")).unwrap_err();
         assert_eq!(err.offset, second_at);

@@ -22,7 +22,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use pravega_common::buf::crc32c;
 use pravega_common::clock;
 use pravega_common::crashpoints::{self, CrashHook};
 use pravega_common::metrics::{Counter, Histogram, MetricsRegistry};
@@ -404,9 +403,9 @@ impl ChunkedSegmentStorage {
             let capacity = (self.config.max_chunk_bytes - last.length) as usize;
             let take = remaining.len().min(capacity);
             let payload = &remaining[..take];
-            let frame = format::encode_block(payload);
+            let (frame, crc) = format::encode_block(payload);
             self.write_frame(&last.name, format::physical_data_len(&last.blocks), &frame)?;
-            last.blocks.push((take as u32, crc32c(payload)));
+            last.blocks.push((take as u32, crc));
             last.length += take as u64;
             record.length += take as u64;
             remaining = &remaining[take..];
@@ -825,13 +824,13 @@ impl ChunkedSegmentStorage {
         let mut frames = BytesMut::new();
         let mut off = 0usize;
         for &(blen, bcrc) in &rec.blocks {
-            let payload = &data[off..off + blen as usize];
-            if crc32c(payload) != bcrc {
+            let (frame, crc) = format::encode_block(&data[off..off + blen as usize]);
+            if crc != bcrc {
                 return Err(LtsError::Metadata(format!(
                     "repair data for {chunk} does not match acked checksums"
                 )));
             }
-            frames.extend_from_slice(&format::encode_block(payload));
+            frames.extend_from_slice(&frame);
             off += blen as usize;
         }
         if rec.finalized {

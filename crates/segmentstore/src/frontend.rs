@@ -3,18 +3,19 @@
 //!
 //! One frontend per store. It binds a loopback listener, accepts
 //! connections, and runs each one through the *same* `connection_loop` that
-//! serves embedded connections — the ack pump, append pipelining and
-//! detached tail reads are identical on both transports, so a client cannot
-//! observe which one it is on.
+//! serves embedded connections — dispatch, the ack pump, append pipelining
+//! and the tail-read pump are identical on both transports, so a client
+//! cannot observe which one it is on.
 //!
-//! Scale model: each accepted connection costs two socket-pump threads
-//! (`pravega_common::tcp`) plus the handler thread, and appends from *all*
-//! connections multiplex onto the store's container worker pools — the
-//! per-connection threads only shuttle frames. Backpressure is per
-//! connection and structural: a connection whose handler lags stops reading
-//! its socket (bounded inbound queue), stalling only that client's window;
-//! a slow-reading client fills the bounded reply queue and stalls only its
-//! own replies.
+//! Scale model: each accepted connection costs at most five threads — two
+//! socket pumps (`pravega_common::tcp`), the handler, its ack pump, and one
+//! tail-read pump started by its first `wait_for_data` read — however many
+//! requests it carries. Appends from *all* connections multiplex onto the
+//! store's container worker pools; the per-connection threads only shuttle
+//! frames and replies. Backpressure is per connection and structural: a
+//! connection whose handler lags stops reading its socket (bounded inbound
+//! queue), stalling only that client's window; a slow-reading client fills
+//! the bounded reply queue and stalls only its own replies.
 //!
 //! The frontend also powers fault injection: [`TcpFrontend::kill_connections`]
 //! severs every live socket mid-flight, which chaos tests use to prove the

@@ -6,20 +6,29 @@
 //! over the segment's qualified name; a store that does not run that
 //! container answers `WrongHost`, prompting the client to re-resolve the
 //! endpoint through the controller.
+//!
+//! Every request, whether it arrives through [`SegmentStore::call`] or over
+//! a connection, goes through one `dispatch`. It either answers at once or
+//! hands back a deferred item: an append waiting to become durable (§4.1)
+//! or a tail read parked until data arrives (§4.2). `call` waits on the
+//! item itself; a connection passes it to a reply pump so the connection
+//! keeps reading requests meanwhile.
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::unbounded;
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use pravega_common::hashing::container_for_segment;
-use pravega_common::id::ContainerId;
+use pravega_common::id::{ContainerId, ScopedSegment, WriterId};
 use pravega_common::wire::{
     connection_pair, Connection, Reply, ReplyEnvelope, Request, SegmentInfo, ServerEnd,
+    SEND_QUEUE_DEPTH,
 };
 use pravega_sync::{rank, Mutex};
 
-use crate::container::{ContainerConfig, SegmentContainer, SegmentLoad};
+use crate::container::{AppendHandle, ContainerConfig, ReadResult, SegmentContainer, SegmentLoad};
 use crate::error::SegmentError;
 
 /// Configuration of a segment store instance.
@@ -138,10 +147,7 @@ impl SegmentStore {
     }
 
     /// The container that owns `segment`, if it runs here.
-    fn container_for(
-        &self,
-        segment_name: &pravega_common::id::ScopedSegment,
-    ) -> Option<Arc<SegmentContainer>> {
+    fn container_for(&self, segment_name: &ScopedSegment) -> Option<Arc<SegmentContainer>> {
         let id = container_for_segment(segment_name, self.config.container_count);
         self.containers.lock().get(&id).cloned()
     }
@@ -158,17 +164,21 @@ impl SegmentStore {
         containers.iter().flat_map(|c| c.load_report()).collect()
     }
 
-    /// Handles one request synchronously (appends wait for durability).
+    /// Handles one request synchronously: appends wait for durability and
+    /// tail reads for data. Each call is its own one-request connection, so
+    /// a `SetupAppend` fences the writer's older sessions like any
+    /// handshake.
     pub fn call(&self, request: Request) -> Reply {
-        let Some(container) = self.container_for(request.segment()) else {
-            return Reply::WrongHost;
-        };
-        dispatch(&container, request)
+        match dispatch(self, &mut HashMap::new(), request) {
+            Dispatched::Ready(reply) => reply,
+            Dispatched::Deferred(item) => item.wait_reply(),
+        }
     }
 
     /// Opens an in-process connection to this store. Requests are processed
     /// in order; appends are pipelined (acknowledged asynchronously once
-    /// durable) and blocking tail reads do not stall the connection.
+    /// durable) and blocking tail reads do not stall the connection. See
+    /// `connection_loop` for the threads a connection runs.
     ///
     /// # Errors
     ///
@@ -205,6 +215,68 @@ impl SegmentStore {
     }
 }
 
+/// How long a `wait_for_data` read parks at the tail before it is answered
+/// with an empty `at_tail` read.
+const TAIL_READ_WAIT: Duration = Duration::from_secs(2);
+
+/// Append sessions one connection holds, per writer and segment, from its
+/// `SetupAppend` handshakes. Appends carry the session so a newer handshake
+/// (the writer reconnected elsewhere) fences this connection's still-queued
+/// blocks out instead of letting them race the resend.
+type Sessions = HashMap<WriterId, HashMap<String, u64>>;
+
+/// What [`dispatch`] made of a request.
+enum Dispatched {
+    /// The reply, known at once.
+    Ready(Reply),
+    /// Work whose reply has to wait.
+    Deferred(Deferred),
+}
+
+/// A request whose reply is not known yet.
+enum Deferred {
+    /// An append on its way to durability.
+    Append {
+        writer_id: WriterId,
+        last_event_number: i64,
+        handle: AppendHandle,
+    },
+    /// A `wait_for_data` read, parked at the tail until data arrives.
+    TailRead {
+        container: Arc<SegmentContainer>,
+        name: String,
+        offset: u64,
+        max_bytes: usize,
+    },
+}
+
+impl Deferred {
+    /// Blocks until the reply is known: the append is durable (or failed),
+    /// or the tail read has data (or waited out [`TAIL_READ_WAIT`]).
+    fn wait_reply(self) -> Reply {
+        match self {
+            Deferred::Append {
+                writer_id,
+                last_event_number,
+                handle,
+            } => match handle.wait() {
+                Ok(outcome) => Reply::DataAppended {
+                    writer_id,
+                    last_event_number,
+                    current_tail: outcome.tail,
+                },
+                Err(e) => error_reply(e),
+            },
+            Deferred::TailRead {
+                container,
+                name,
+                offset,
+                max_bytes,
+            } => read_reply(container.read(&name, offset, max_bytes, Some(TAIL_READ_WAIT))),
+        }
+    }
+}
+
 fn error_reply(e: SegmentError) -> Reply {
     match e {
         SegmentError::NoSuchSegment => Reply::NoSuchSegment,
@@ -221,8 +293,26 @@ fn error_reply(e: SegmentError) -> Reply {
     }
 }
 
-fn dispatch(container: &SegmentContainer, request: Request) -> Reply {
-    match request {
+fn read_reply(read: Result<ReadResult, SegmentError>) -> Reply {
+    match read {
+        Ok(r) => Reply::SegmentRead {
+            offset: r.offset,
+            data: r.data,
+            end_of_segment: r.end_of_segment,
+            at_tail: r.at_tail,
+        },
+        Err(e) => error_reply(e),
+    }
+}
+
+/// Routes `request` to its container and runs it as far as it can go
+/// without waiting: everything but appends and `wait_for_data` reads is
+/// answered here, and those two come back [`Dispatched::Deferred`].
+fn dispatch(store: &SegmentStore, sessions: &mut Sessions, request: Request) -> Dispatched {
+    let Some(container) = store.container_for(request.segment()) else {
+        return Dispatched::Ready(Reply::WrongHost);
+    };
+    let reply = match request {
         Request::CreateSegment { segment, is_table } => {
             match container.create_segment(&segment.qualified_name(), is_table) {
                 Ok(()) => Reply::SegmentCreated,
@@ -230,8 +320,12 @@ fn dispatch(container: &SegmentContainer, request: Request) -> Reply {
             }
         }
         Request::SetupAppend { writer_id, segment } => {
-            match container.setup_append(&segment.qualified_name(), writer_id) {
-                Ok(last_event_number) => Reply::AppendSetup { last_event_number },
+            let name = segment.qualified_name();
+            match container.handshake(&name, writer_id) {
+                Ok((last_event_number, session)) => {
+                    sessions.entry(writer_id).or_default().insert(name, session);
+                    Reply::AppendSetup { last_event_number }
+                }
                 Err(e) => error_reply(e),
             }
         }
@@ -243,22 +337,25 @@ fn dispatch(container: &SegmentContainer, request: Request) -> Reply {
             data,
             expected_offset,
         } => {
-            let handle = container.append(
-                &segment.qualified_name(),
+            let name = segment.qualified_name();
+            let session = sessions
+                .get(&writer_id)
+                .and_then(|segments| segments.get(&name))
+                .copied();
+            let handle = container.append_sessioned(
+                &name,
                 data,
                 writer_id,
                 last_event_number,
                 event_count,
                 expected_offset,
+                session,
             );
-            match handle.wait() {
-                Ok(outcome) => Reply::DataAppended {
-                    writer_id,
-                    last_event_number,
-                    current_tail: outcome.tail,
-                },
-                Err(e) => error_reply(e),
-            }
+            return Dispatched::Deferred(Deferred::Append {
+                writer_id,
+                last_event_number,
+                handle,
+            });
         }
         Request::ReadSegment {
             segment,
@@ -266,16 +363,17 @@ fn dispatch(container: &SegmentContainer, request: Request) -> Reply {
             max_bytes,
             wait_for_data,
         } => {
-            let wait = wait_for_data.then(|| Duration::from_secs(2));
-            match container.read(&segment.qualified_name(), offset, max_bytes as usize, wait) {
-                Ok(r) => Reply::SegmentRead {
-                    offset: r.offset,
-                    data: r.data,
-                    end_of_segment: r.end_of_segment,
-                    at_tail: r.at_tail,
-                },
-                Err(e) => error_reply(e),
+            let name = segment.qualified_name();
+            let max_bytes = max_bytes as usize;
+            if wait_for_data {
+                return Dispatched::Deferred(Deferred::TailRead {
+                    container,
+                    name,
+                    offset,
+                    max_bytes,
+                });
             }
+            read_reply(container.read(&name, offset, max_bytes, None))
         }
         Request::GetSegmentInfo { segment } => {
             match container.get_info(&segment.qualified_name()) {
@@ -348,162 +446,92 @@ fn dispatch(container: &SegmentContainer, request: Request) -> Reply {
                 Err(e) => error_reply(e),
             }
         }
-    }
+    };
+    Dispatched::Ready(reply)
 }
 
-pub(crate) fn connection_loop(store: Arc<SegmentStore>, server: ServerEnd) {
-    // Appends are acknowledged by a dedicated pump so the request loop never
-    // blocks on durability — this is what lets a writer keep the batch
-    // in-flight on the wire while the server collects it (§4.1).
-    enum AckItem {
-        Append {
-            request_id: u64,
-            writer_id: pravega_common::id::WriterId,
-            last_event_number: i64,
-            handle: crate::container::AppendHandle,
-        },
-    }
-    let (ack_tx, ack_rx) = unbounded::<AckItem>();
-    let ack_server = server.clone();
-    let pump_result = std::thread::Builder::new()
-        .name("conn-ack-pump".into())
+/// A deferred item tagged with the request id its reply answers.
+type Pending = (u64, Deferred);
+
+/// Starts the connection's one deferred-reply function on a thread named
+/// `name`: it answers `items` in order, each once [`Deferred::wait_reply`]
+/// returns, until the connection loop hangs up or the client goes away.
+fn spawn_reply_pump(
+    name: &str,
+    server: &ServerEnd,
+    items: Receiver<Pending>,
+) -> std::io::Result<JoinHandle<()>> {
+    let server = server.clone();
+    std::thread::Builder::new()
+        .name(name.into())
         .spawn(move || {
-            while let Ok(item) = ack_rx.recv() {
-                match item {
-                    AckItem::Append {
-                        request_id,
-                        writer_id,
-                        last_event_number,
-                        handle,
-                    } => {
-                        let reply = match handle.wait() {
-                            Ok(outcome) => Reply::DataAppended {
-                                writer_id,
-                                last_event_number,
-                                current_tail: outcome.tail,
-                            },
-                            Err(e) => error_reply(e),
-                        };
-                        if ack_server
-                            .send(ReplyEnvelope { request_id, reply })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
+            while let Ok((request_id, item)) = items.recv() {
+                let reply = item.wait_reply();
+                if server.send(ReplyEnvelope { request_id, reply }).is_err() {
+                    break;
                 }
             }
-        });
-    let Ok(pump) = pump_result else {
+        })
+}
+
+/// Serves one connection, in-process or TCP. Requests are dispatched in
+/// order on this thread; a deferred reply goes to a reply pump so the loop
+/// keeps reading. Two pumps run per connection at most:
+///
+/// * `conn-ack-pump`, started with the connection, acknowledges appends in
+///   order as they become durable — what lets a writer keep its batch in
+///   flight on the wire while the server collects it (§4.1);
+/// * `conn-tail-read`, started by the connection's first `wait_for_data`
+///   read, answers tail reads in request order, each parked for at most
+///   [`TAIL_READ_WAIT`]. Its own pump keeps a parked read from delaying an
+///   append ack.
+pub(crate) fn connection_loop(store: Arc<SegmentStore>, server: ServerEnd) {
+    let (ack_tx, ack_rx) = unbounded::<Pending>();
+    let Ok(ack_pump) = spawn_reply_pump("conn-ack-pump", &server, ack_rx) else {
         // No ack pump means no append can ever be acknowledged: refuse the
         // connection rather than hang clients.
         return;
     };
-
-    // Append sessions held by THIS connection, per (writer, segment), from
-    // its `SetupAppend` handshakes. Appends carry the session so a newer
-    // handshake (the writer reconnected elsewhere) fences this connection's
-    // still-queued blocks out instead of letting them race the resend.
-    let mut sessions: HashMap<(pravega_common::id::WriterId, String), u64> = HashMap::new();
+    let mut tail_reads: Option<(Sender<Pending>, JoinHandle<()>)> = None;
+    let mut sessions = HashMap::new();
 
     while let Ok(envelope) = server.recv() {
         let request_id = envelope.request_id;
-        match envelope.request {
-            Request::SetupAppend { writer_id, segment } => {
-                let name = segment.qualified_name();
-                let reply = match store.container_for(&segment) {
-                    None => Reply::WrongHost,
-                    Some(container) => match container.handshake(&name, writer_id) {
-                        Ok((last_event_number, session)) => {
-                            sessions.insert((writer_id, name), session);
-                            Reply::AppendSetup { last_event_number }
-                        }
-                        Err(e) => error_reply(e),
-                    },
-                };
+        let item = match dispatch(&store, &mut sessions, envelope.request) {
+            Dispatched::Ready(reply) => {
                 if server.send(ReplyEnvelope { request_id, reply }).is_err() {
                     break;
                 }
+                continue;
             }
-            Request::AppendBlock {
-                writer_id,
-                segment,
-                last_event_number,
-                event_count,
-                data,
-                expected_offset,
-            } => {
-                let name = segment.qualified_name();
-                let session = sessions.get(&(writer_id, name.clone())).copied();
-                let reply_or_handle = match store.container_for(&segment) {
-                    None => Err(Reply::WrongHost),
-                    Some(container) => Ok(container.append_sessioned(
-                        &name,
-                        data,
-                        writer_id,
-                        last_event_number,
-                        event_count,
-                        expected_offset,
-                        session,
-                    )),
-                };
-                match reply_or_handle {
-                    Ok(handle) => {
-                        if ack_tx
-                            .send(AckItem::Append {
-                                request_id,
-                                writer_id,
-                                last_event_number,
-                                handle,
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                    Err(reply) => {
-                        if server.send(ReplyEnvelope { request_id, reply }).is_err() {
-                            break;
-                        }
+            Dispatched::Deferred(item) => item,
+        };
+        let queued = match item {
+            Deferred::Append { .. } => ack_tx.send((request_id, item)).is_ok(),
+            Deferred::TailRead { .. } => {
+                if tail_reads.is_none() {
+                    let (tail_tx, tail_rx) = bounded::<Pending>(SEND_QUEUE_DEPTH);
+                    tail_reads = spawn_reply_pump("conn-tail-read", &server, tail_rx)
+                        .ok()
+                        .map(|pump| (tail_tx, pump));
+                }
+                match &tail_reads {
+                    Some((tail_tx, _)) => tail_tx.send((request_id, item)).is_ok(),
+                    None => {
+                        let reply = Reply::InternalError("cannot start the tail-read pump".into());
+                        server.send(ReplyEnvelope { request_id, reply }).is_ok()
                     }
                 }
             }
-            Request::ReadSegment {
-                segment,
-                offset,
-                max_bytes,
-                wait_for_data,
-            } if wait_for_data => {
-                // Blocking tail read: serve on a detached thread so the
-                // connection keeps flowing.
-                let store = store.clone();
-                let reply_server = server.clone();
-                let spawned = std::thread::Builder::new()
-                    .name("conn-tail-read".into())
-                    .spawn(move || {
-                        let reply = store.call(Request::ReadSegment {
-                            segment,
-                            offset,
-                            max_bytes,
-                            wait_for_data: true,
-                        });
-                        let _ = reply_server.send(ReplyEnvelope { request_id, reply });
-                    });
-                if let Err(e) = spawned {
-                    let reply = Reply::InternalError(format!("spawn tail read: {e}"));
-                    if server.send(ReplyEnvelope { request_id, reply }).is_err() {
-                        break;
-                    }
-                }
-            }
-            other => {
-                let reply = store.call(other);
-                if server.send(ReplyEnvelope { request_id, reply }).is_err() {
-                    break;
-                }
-            }
+        };
+        if !queued {
+            break;
         }
     }
     drop(ack_tx);
-    let _ = pump.join();
+    let _ = ack_pump.join();
+    if let Some((tail_tx, tail_pump)) = tail_reads {
+        drop(tail_tx);
+        let _ = tail_pump.join();
+    }
 }

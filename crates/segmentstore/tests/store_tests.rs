@@ -7,12 +7,18 @@ use std::time::Duration;
 use bytes::Bytes;
 use pravega_common::clock::SystemClock;
 use pravega_common::hashing::container_for_segment;
-use pravega_common::id::{ScopedStream, SegmentId, WriterId};
-use pravega_common::wire::{Reply, Request, RequestEnvelope, TableUpdateEntry};
+use pravega_common::id::{ScopedSegment, ScopedStream, SegmentId, WriterId};
+use pravega_common::metrics::MetricsRegistry;
+use pravega_common::tcp;
+use pravega_common::wire::{
+    Connection, Reply, ReplyEnvelope, Request, RequestEnvelope, TableUpdateEntry,
+};
 use pravega_lts::{
     ChunkedSegmentStorage, ChunkedStorageConfig, InMemoryChunkStorage, InMemoryMetadataStore,
 };
-use pravega_segmentstore::{ContainerConfig, SegmentContainer, SegmentStore, SegmentStoreConfig};
+use pravega_segmentstore::{
+    ContainerConfig, SegmentContainer, SegmentStore, SegmentStoreConfig, TcpFrontend,
+};
 use pravega_wal::log::InMemoryLog;
 
 fn new_store(container_count: u32) -> Arc<SegmentStore> {
@@ -47,7 +53,7 @@ fn new_store(container_count: u32) -> Arc<SegmentStore> {
     )
 }
 
-fn segment(name: &str) -> pravega_common::id::ScopedSegment {
+fn segment(name: &str) -> ScopedSegment {
     ScopedStream::new("s", name)
         .unwrap()
         .segment(SegmentId::new(0, 0))
@@ -334,23 +340,22 @@ fn wire_table_operations() {
     store.shutdown();
 }
 
-#[test]
-fn tail_read_over_the_wire_does_not_block_the_connection() {
-    let store = new_store(1);
-    store.reconcile_containers(&[0]).unwrap();
-    let conn = store.connect().unwrap();
-    let seg = segment("tail");
-    conn.call(
-        1,
-        Request::CreateSegment {
-            segment: seg.clone(),
-            is_table: false,
-        },
-    )
-    .unwrap();
-    // Issue a blocking tail read...
+fn create(conn: &Connection, request_id: u64, seg: &ScopedSegment) {
+    let reply = conn
+        .call(
+            request_id,
+            Request::CreateSegment {
+                segment: seg.clone(),
+                is_table: false,
+            },
+        )
+        .unwrap();
+    assert_eq!(reply, Reply::SegmentCreated);
+}
+
+fn send_tail_read(conn: &Connection, request_id: u64, seg: &ScopedSegment) {
     conn.send(RequestEnvelope {
-        request_id: 2,
+        request_id,
         request: Request::ReadSegment {
             segment: seg.clone(),
             offset: 0,
@@ -359,31 +364,55 @@ fn tail_read_over_the_wire_does_not_block_the_connection() {
         },
     })
     .unwrap();
-    // ...then, on the SAME connection, an append that must not be stuck
-    // behind it.
+}
+
+fn send_append(conn: &Connection, request_id: u64, seg: &ScopedSegment, data: &'static [u8]) {
     conn.send(RequestEnvelope {
-        request_id: 3,
+        request_id,
         request: Request::AppendBlock {
             writer_id: WriterId::random(),
-            segment: seg,
+            segment: seg.clone(),
             last_event_number: 0,
             event_count: 1,
-            data: Bytes::from_static(b"wake"),
+            data: Bytes::from_static(data),
             expected_offset: None,
         },
     })
     .unwrap();
-    // Both replies arrive: the append ack and the tail read carrying the
-    // appended bytes.
+}
+
+fn next_reply(conn: &Connection) -> ReplyEnvelope {
+    conn.recv_timeout(Duration::from_secs(5))
+        .unwrap()
+        .expect("reply within timeout")
+}
+
+/// A tail read parked on one segment must not hold up an append ack for
+/// another segment on the same connection: the ack arrives while the read
+/// is still parked, and the read then completes with the data that wakes it.
+fn parked_tail_read_does_not_delay_append_acks(conn: &Connection) {
+    let parked = segment("tail");
+    let other = segment("other");
+    create(conn, 1, &parked);
+    create(conn, 2, &other);
+    send_tail_read(conn, 3, &parked);
+    send_append(conn, 4, &other, b"elsewhere");
+    let first = next_reply(conn);
+    assert_eq!(first.request_id, 4, "append ack must overtake the read");
+    assert!(matches!(first.reply, Reply::DataAppended { .. }));
+    assert!(
+        conn.try_recv().unwrap().is_none(),
+        "the tail read must still be parked"
+    );
+    // Wake the parked read with an append on its own segment.
+    send_append(conn, 5, &parked, b"wake");
     let mut got_read = false;
     let mut got_append = false;
     for _ in 0..2 {
-        let env = conn
-            .recv_timeout(Duration::from_secs(5))
-            .unwrap()
-            .expect("reply within timeout");
+        let env = next_reply(conn);
         match env.reply {
             Reply::SegmentRead { data, .. } => {
+                assert_eq!(env.request_id, 3);
                 assert_eq!(data.as_ref(), b"wake");
                 got_read = true;
             }
@@ -392,5 +421,86 @@ fn tail_read_over_the_wire_does_not_block_the_connection() {
         }
     }
     assert!(got_read && got_append);
+}
+
+#[test]
+fn tail_read_over_the_wire_does_not_block_the_connection() {
+    let store = new_store(1);
+    store.reconcile_containers(&[0]).unwrap();
+    parked_tail_read_does_not_delay_append_acks(&store.connect().unwrap());
+
+    // The same over a real socket, through the TCP frontend.
+    let store = new_store(1);
+    store.reconcile_containers(&[0]).unwrap();
+    let frontend = TcpFrontend::start(store.clone(), &MetricsRegistry::new()).unwrap();
+    parked_tail_read_does_not_delay_append_acks(&tcp::connect(frontend.local_addr()).unwrap());
+    frontend.stop();
+    store.shutdown();
+}
+
+/// Threads of this process whose name is `name` (Linux `comm`).
+#[cfg(target_os = "linux")]
+fn threads_named(name: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == name)
+        .count()
+}
+
+/// Parked tail reads do not cost a thread each: 64 pipelined
+/// `wait_for_data` reads on idle segments share one connection's tail-read
+/// pump, and every one is answered once its segment gets data.
+#[cfg(target_os = "linux")]
+#[test]
+fn pipelined_tail_reads_share_one_thread_per_connection() {
+    const READS: u64 = 64;
+    let store = new_store(1);
+    store.reconcile_containers(&[0]).unwrap();
+    let conn = store.connect().unwrap();
+    let segments: Vec<ScopedSegment> = (0..READS).map(|i| segment(&format!("idle-{i}"))).collect();
+    for (i, seg) in (0..).zip(&segments) {
+        create(&conn, i, seg);
+    }
+    for (i, seg) in (0..).zip(&segments) {
+        send_tail_read(&conn, 100 + i, seg);
+    }
+    // The connection handles requests in order, so once this reply is back
+    // every read before it has been taken off the connection.
+    let marker = conn
+        .call(
+            99,
+            Request::GetSegmentInfo {
+                segment: segments[0].clone(),
+            },
+        )
+        .unwrap();
+    assert!(matches!(marker, Reply::SegmentInfo(_)));
+    assert!(
+        conn.try_recv().unwrap().is_none(),
+        "reads on idle segments must stay parked"
+    );
+    let tail_threads = threads_named("conn-tail-read");
+    assert!(
+        tail_threads < 8,
+        "{tail_threads} conn-tail-read threads for {READS} parked reads on one connection"
+    );
+    for (i, seg) in (0..).zip(&segments) {
+        send_append(&conn, 200 + i, seg, b"data");
+    }
+    let mut reads = 0;
+    for _ in 0..2 * READS {
+        let env = next_reply(&conn);
+        match env.reply {
+            Reply::SegmentRead { data, .. } => {
+                assert!((100..100 + READS).contains(&env.request_id));
+                assert_eq!(data.as_ref(), b"data");
+                reads += 1;
+            }
+            Reply::DataAppended { .. } => {}
+            other => panic!("{other:?}"),
+        }
+    }
+    assert_eq!(reads, READS);
     store.shutdown();
 }

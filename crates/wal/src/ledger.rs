@@ -1206,6 +1206,16 @@ mod tests {
             .unwrap()
             .unwrap();
         let id = writer.metadata().id;
+        // The ack needs only two of the three replicas; wait for the third
+        // copy to land on bookie 0 before rotting it.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while bookies[0].raw_entry(id, 0).is_none() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "bookie 0 never stored entry 0"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         assert!(bookies[0].flip_entry_bit(id, 0, 8, 0x01));
         let closed = mgr.recover_and_close(id, 2).unwrap();
         assert_eq!(

@@ -57,7 +57,8 @@
 //! that no longer matches any would-be violation is itself an error.
 //!
 //! Test code (`#[cfg(test)]` modules, `#[test]` functions), `tests/`,
-//! `benches/`, `examples/` and `vendor/` are exempt from every rule.
+//! `benches/`, `examples/`, `vendor/` and `perfbench/` (a separate Cargo
+//! workspace of benchmark code) are exempt from every rule.
 
 use crate::{guards, lockgraph};
 use std::cell::RefCell;
@@ -488,7 +489,14 @@ fn collect_rs_files(dir: &Path, fixture_mode: bool, out: &mut Vec<PathBuf>) -> s
             } else {
                 matches!(
                     name.as_ref(),
-                    ".git" | "target" | "vendor" | "tests" | "benches" | "examples" | "fixtures"
+                    ".git"
+                        | "target"
+                        | "vendor"
+                        | "tests"
+                        | "benches"
+                        | "examples"
+                        | "fixtures"
+                        | "perfbench"
                 ) || name.as_ref() == "xtask"
             };
             if !skip {
